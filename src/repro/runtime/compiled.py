@@ -28,30 +28,34 @@ from the buffer plan (exact rectangle intersection within a root,
 arena-extent intersection across roots).  Every pair of conflicting
 accesses keeps its serial order, which is what makes the parallel
 schedule *byte-identical* to serial execution.  Batch-shardable steps
-(depthwise convolutions, BatchNormalization, fused/standalone
-elementwise ops — all pure per-element ufunc pipelines) are split into
-per-batch-slice sub-steps at batch >= 4 so a single wide node can
-occupy several workers; GEMM-backed steps are never sharded, because
-BLAS kernel selection depends on the operand shapes and splitting the
-M dimension could change the floating-point reduction it runs.
+(depthwise convolutions and elementwise groups — pure per-element
+ufunc pipelines) are split into per-batch-slice sub-steps at batch >=
+4 so a single wide node can occupy several workers.  GEMM-backed
+steps (Conv, Gemm, MatMul) split into contiguous M-dimension row
+panels instead (:mod:`repro.runtime.gemmpar`): each output row keeps
+its full-K accumulation and the planner's floors keep every panel on
+BLAS's normal kernel path, so the bytes cannot change.
 
-**Elementwise fusion.**  By default the executable applies the
-``fuse_elementwise`` pass to its graph before binding
-(``fuse=False`` is the ablation): maximal chains/DAGs of pure
-elementwise ops become single ``FusedElementwise`` steps that evaluate
-the whole sub-expression in one blocked sweep over the output.
-Intermediates live in reusable cache-sized scratch tiles
+**Elementwise fusion.**  The executable applies the
+``fuse_elementwise`` pass to its graph before binding: maximal
+chains/DAGs of pure elementwise ops become single ``FusedElementwise``
+steps that evaluate the whole sub-expression in one blocked sweep over
+the output.  Intermediates live in reusable cache-sized scratch tiles
 (:data:`TILE_ELEMENTS` each), never in the arena, so the buffer
 planner allocates nothing for fused interiors and both latency and
-arena peak drop.  Convolutions likewise skip materializing im2col:
+arena peak drop.  Elementwise ops the pass leaves alone bind through
+the same code as one-entry groups, and Conv/Gemm bias + activation
+epilogues reuse the same :func:`~repro.runtime.numerical.
+compile_elementwise` kernels, so the executor carries one elementwise
+kernel table.  Convolutions likewise skip materializing im2col:
 :func:`~repro.runtime.numerical.conv_window_view` builds a read-only
 ``as_strided`` patch view that feeds the GEMM directly when the 2-D
 reshape is expressible as a view, and otherwise collapses to a single
 vectorized gather into scratch.
 
 Semantics contract: outputs are **byte-identical** to the interpreted
-:func:`repro.runtime.numerical.execute` oracle, serial or parallel,
-fused or unfused.  Every specialized closure re-expresses the
+:func:`repro.runtime.numerical.execute` oracle on the unfused graph,
+serial or parallel.  Every specialized closure re-expresses the
 interpreter's exact floating-point op sequence (same ufuncs, same
 operand order, same GEMM operands) with the destination redirected
 into the arena; anything without a proven bit-identical specialization
@@ -94,8 +98,6 @@ from repro.runtime.numerical import (
     conv_window_view,
     graph_initializers_f32,
     reshape_as_view,
-    stable_sigmoid,
-    stable_silu,
 )
 
 #: Backwards-compatible alias: the batch-shard floor now lives on
@@ -220,36 +222,41 @@ def _capture_shapes(graph: Graph,
     return shapes
 
 
-def _activation_inplace(node: Node) -> Optional[Callable[[np.ndarray], None]]:
-    """In-place variant of ``apply_fused_activation`` for arena views."""
-    kind = node.attr("activation")
-    if not kind:
-        return None
-    if kind == "relu":
-        def act(out: np.ndarray) -> None:
-            np.maximum(out, 0.0, out=out)
-        return act
-    if kind == "clip":
-        lo = node.attr("activation_min", 0.0)
-        hi = node.attr("activation_max", 6.0)
+#: Fused-activation kinds (``fuse_activations`` stores the absorbed
+#: op's lowercased type) -> the elementwise op that evaluates them.
+_EPILOGUE_OPS = {"relu": "Relu", "clip": "Clip", "silu": "Silu",
+                 "sigmoid": "Sigmoid", "gelu": "Gelu"}
 
-        def act(out: np.ndarray) -> None:
-            np.clip(out, lo, hi, out=out)
-        return act
-    if kind == "silu":
-        def act(out: np.ndarray) -> None:
-            stable_silu(out, out=out)
-        return act
-    if kind == "sigmoid":
-        def act(out: np.ndarray) -> None:
-            stable_sigmoid(out, out=out)
-        return act
-    if kind == "gelu":
-        def act(out: np.ndarray) -> None:
-            np.copyto(out, 0.5 * out * (1.0 + np.tanh(
-                0.7978845608 * (out + 0.044715 * out ** 3))))
-        return act
-    raise ValueError(f"unknown fused activation {kind!r}")
+
+def _epilogue(node: Optional[Node], bias: Optional[np.ndarray]
+              ) -> Optional[Callable[[np.ndarray], None]]:
+    """In-place ``out += bias`` then ``node``'s fused activation.
+
+    Built from :func:`compile_elementwise` kernels, which run the
+    oracle's exact ufunc sequence (``conv + bias``, then
+    ``apply_fused_activation``).  ``node`` None means no activation.
+    Returns None when there is nothing to apply; an unknown activation
+    raises ``ValueError`` here, at bind time.
+    """
+    add = compile_elementwise("Add", {}) if bias is not None else None
+    act = None
+    kind = node.attr("activation") if node is not None else None
+    if kind:
+        op = _EPILOGUE_OPS.get(kind)
+        if op is None:
+            raise ValueError(f"unknown fused activation {kind!r}")
+        act = compile_elementwise(op, {
+            "min": node.attr("activation_min", 0.0),
+            "max": node.attr("activation_max", 6.0)})
+    if add is None and act is None:
+        return None
+
+    def epilogue(out: np.ndarray) -> None:
+        if add is not None:
+            add((out, bias), out)
+        if act is not None:
+            act((out,), out)
+    return epilogue
 
 
 #: Minimum contiguous run (elements, ~8 KB of f32) a fused-sweep tile
@@ -676,6 +683,10 @@ class ExecutionState:
     # Binding
     # ------------------------------------------------------------------
     def _bind(self) -> None:
+        # Lazy for the same reason as CompiledExecutable._run_graph,
+        # which has already loaded the module by the time states bind.
+        from repro.transform.elemfuse import FUSABLE_ELEMENTWISE
+
         graph = self.spec.graph
         for name in graph.inputs:
             self._view(name)
@@ -691,12 +702,8 @@ class ExecutionState:
                 self._bind_conv(node)
             elif op in ("Gemm", "MatMul"):
                 self._bind_gemm(node)
-            elif op == "BatchNormalization":
-                self._bind_bn(node)
-            elif op == "FusedElementwise":
+            elif op == "FusedElementwise" or op in FUSABLE_ELEMENTWISE:
                 self._bind_fused(node)
-            elif op in _UNARY_OUT or op in _BINARY_OUT or op == "Clip":
-                self._bind_elementwise(node)
             else:
                 self._bind_generic(node)
         for t in graph.outputs:
@@ -815,8 +822,7 @@ class ExecutionState:
     def _emit_conv_panels(self, node: Node, x_name: str, out_name: str,
                           panels: List[Tuple[int, int]], oh: int, ow: int,
                           dst2d: np.ndarray, w2d: np.ndarray,
-                          bias: Optional[np.ndarray],
-                          act: Optional[Callable[[np.ndarray], None]], *,
+                          epi: Optional[Callable[[np.ndarray], None]], *,
                           a2d: Optional[np.ndarray] = None,
                           gather_src: Optional[np.ndarray] = None,
                           gather_k: int = 0) -> bool:
@@ -858,10 +864,8 @@ class ExecutionState:
 
                 def step(apan=apan, dpan=dpan) -> None:
                     np.matmul(apan, w2d, out=dpan)
-                    if bias is not None:
-                        np.add(dpan, bias, out=dpan)
-                    if act is not None:
-                        act(dpan)
+                    if epi is not None:
+                        epi(dpan)
             else:
                 rows = m1 - m0
                 scratch.need_a = max(scratch.need_a, rows * gather_k)
@@ -876,10 +880,8 @@ class ExecutionState:
                                   seg)
                         cur += nrow
                     np.matmul(cols, w2d, out=dpan)
-                    if bias is not None:
-                        np.add(dpan, bias, out=dpan)
-                    if act is not None:
-                        act(dpan)
+                    if epi is not None:
+                        epi(dpan)
             self._add_step(step, [x_reg], writes, kind="gemm",
                            node=node.name, shard=(idx, total))
         return True
@@ -909,17 +911,15 @@ class ExecutionState:
         oh = (h + pt + pb - kh) // sh + 1
         ow = (wdt + pl + pr - kw) // sw + 1
         dst = self._view(out_name)
-        act = _activation_inplace(node)
+        epi = _epilogue(node, bias)
         get_xp, static = self._conv_input(node, pads)
         scratch = self._scratch
         reads = [self._region(x_name)]
         writes = [self._region(out_name)]
 
         def epilogue() -> None:
-            if bias is not None:
-                np.add(dst, bias, out=dst)
-            if act is not None:
-                act(dst)
+            if epi is not None:
+                epi(dst)
 
         if group == cin and cin_g == 1 and cout == group:
             taps = spec.packed_weight(w, (kh, kw, cout))
@@ -943,10 +943,8 @@ class ExecutionState:
                                          j:j + ow * sw:sw, :],
                                     taps[i, j], out=sb)
                                 np.add(dst_s, sb, out=dst_s)
-                        if bias is not None:
-                            np.add(dst_s, bias, out=dst_s)
-                        if act is not None:
-                            act(dst_s)
+                        if epi is not None:
+                            epi(dst_s)
                     self._add_step(
                         step,
                         [self._region(x_name, batch=(n0, n1))],
@@ -1014,7 +1012,7 @@ class ExecutionState:
                                          align=ow)
                 if len(panels) > 1 and self._emit_conv_panels(
                         node, x_name, out_name, panels, oh, ow,
-                        dst2d, w2d, bias, act, a2d=patch2d,
+                        dst2d, w2d, epi, a2d=patch2d,
                         gather_src=patch, gather_k=cin):
                     return
 
@@ -1052,7 +1050,7 @@ class ExecutionState:
                                              self.policy, align=ow)
                     if len(panels) > 1 and self._emit_conv_panels(
                             node, x_name, out_name, panels, oh, ow,
-                            dst2d, w2d, bias, act, a2d=a2d,
+                            dst2d, w2d, epi, a2d=a2d,
                             gather_src=win, gather_k=K):
                         return
                 if a2d is not None:
@@ -1099,13 +1097,14 @@ class ExecutionState:
         b = spec.inits[node.inputs[1]] \
             if node.inputs[1] in spec.inits else self._view(node.inputs[1])
         bias = None
-        bias_name = None
         if node.op_type == "Gemm" and len(node.inputs) > 2:
             bias_name = node.inputs[2]
             bias = spec.inits[bias_name] if bias_name in spec.inits \
                 else self._view(bias_name)
+        # MatMul carries no epilogue: its kernel ignores ``activation``.
+        act_node = node if node.op_type == "Gemm" else None
         dst = self._view(node.outputs[0])
-        act = _activation_inplace(node) if node.op_type == "Gemm" else None
+        epi = _epilogue(act_node, bias)
         reads = [self._region(t) for t in node.inputs]
         writes = [self._region(node.outputs[0])]
         if dst.flags.c_contiguous:
@@ -1130,15 +1129,14 @@ class ExecutionState:
                     for idx, (m0, m1) in enumerate(panels):
                         apan = a[m0:m1]
                         dpan = dst[m0:m1]
-                        bpan = bias[m0:m1] if bias_rows else bias
+                        pepi = _epilogue(act_node, bias[m0:m1]) \
+                            if bias_rows else epi
 
                         def step(apan=apan, dpan=dpan,
-                                 bpan=bpan) -> None:
+                                 pepi=pepi) -> None:
                             np.matmul(apan, b, out=dpan)
-                            if bpan is not None:
-                                np.add(dpan, bpan, out=dpan)
-                            if act is not None:
-                                act(dpan)
+                            if pepi is not None:
+                                pepi(dpan)
                         self._add_step(
                             step, reads,
                             [self._subregion(node.outputs[0], 0,
@@ -1149,10 +1147,8 @@ class ExecutionState:
 
             def step() -> None:
                 np.matmul(a, b, out=dst)
-                if bias is not None:
-                    np.add(dst, bias, out=dst)
-                if act is not None:
-                    act(dst)
+                if epi is not None:
+                    epi(dst)
             self._add_step(step, reads, writes, kind="gemm")
         else:
             self._scratch.need_b = max(self._scratch.need_b, dst.size)
@@ -1162,107 +1158,13 @@ class ExecutionState:
                 sb = scratch.view_b(shape)
                 np.matmul(a, b, out=sb)
                 np.copyto(dst, sb)
-                if bias is not None:
-                    np.add(dst, bias, out=dst)
-                if act is not None:
-                    act(dst)
+                if epi is not None:
+                    epi(dst)
             self._add_step(step, reads, writes, kind="gemm")
 
-    def _bind_bn(self, node: Node) -> None:
-        spec = self.spec
-        params = node.inputs[1:5]
-        if any(p not in spec.inits for p in params):
-            self._bind_generic(node)
-            return
-        scale, bias, mean, var = (spec.inits[p] for p in params)
-        eps = node.attr("epsilon", 1e-5)
-        # Same op sequence as the kernel — (x - mean) / sqrt(var + eps)
-        # * scale + bias — with the denominator precomputed (identical
-        # float32 value) and every step writing in place.
-        denom = spec.prepared(
-            (node.name, "bn_denom"),
-            lambda: np.sqrt(np.asarray(var + eps, dtype=np.float32)))
-        x_name, out_name = node.inputs[0], node.outputs[0]
-        x = self._view(x_name)
-        dst = self._view(out_name)
-
-        def emit(xv: np.ndarray, dv: np.ndarray,
-                 batch: Optional[Tuple[int, int]]) -> None:
-            def step(xv=xv, dv=dv) -> None:
-                np.subtract(xv, mean, out=dv)
-                np.divide(dv, denom, out=dv)
-                np.multiply(dv, scale, out=dv)
-                np.add(dv, bias, out=dv)
-            self._add_step(step, [self._region(x_name, batch=batch)],
-                           [self._region(out_name, batch=batch)],
-                           kind="elementwise")
-
-        shards = 1
-        if x.shape == dst.shape and dst.ndim >= 2:
-            shards = self._shard_count(dst.shape[0])
-        if shards <= 1:
-            emit(x, dst, None)
-        else:
-            for n0, n1 in _shard_ranges(dst.shape[0], shards):
-                emit(x[n0:n1], dst[n0:n1], (n0, n1))
-
-    def _bind_elementwise(self, node: Node) -> None:
-        spec = self.spec
-        op = node.op_type
-        ins = [spec.inits[t] if t in spec.inits else self._view(t)
-               for t in node.inputs]
-        out_name = node.outputs[0]
-        dst = self._view(out_name)
-        n = dst.shape[0] if dst.ndim >= 2 else 0
-        shards = self._shard_count(n) if dst.ndim >= 2 else 1
-        ranges: List[Optional[Tuple[int, int]]]
-        ranges = list(_shard_ranges(n, shards)) if shards > 1 else [None]
-        for rng in ranges:
-            if rng is None:
-                ivs = list(ins)
-                in_batches: List[Optional[Tuple[int, int]]] = \
-                    [None] * len(ins)
-                dv = dst
-            else:
-                n0, n1 = rng
-                ivs, in_batches = [], []
-                for arr in ins:
-                    # Slice operands that carry the batch dimension;
-                    # broadcast operands (per-channel biases, scalars)
-                    # pass through whole — ufuncs broadcast per
-                    # element, so the shard is byte-identical.
-                    if arr.ndim == dst.ndim and arr.shape[0] == n:
-                        ivs.append(arr[n0:n1])
-                        in_batches.append(rng)
-                    else:
-                        ivs.append(arr)
-                        in_batches.append(None)
-                dv = dst[n0:n1]
-            if op == "Clip":
-                lo, hi = node.attr("min", 0.0), node.attr("max", 6.0)
-                xv = ivs[0]
-
-                def step(xv=xv, dv=dv, lo=lo, hi=hi) -> None:
-                    np.clip(xv, lo, hi, out=dv)
-            elif op in _UNARY_OUT:
-                fn, xv = _UNARY_OUT[op], ivs[0]
-
-                def step(fn=fn, xv=xv, dv=dv) -> None:
-                    fn(xv, out=dv)
-            else:
-                fn, (av, bv) = _BINARY_OUT[op], ivs
-
-                def step(fn=fn, av=av, bv=bv, dv=dv) -> None:
-                    fn(av, bv, out=dv)
-            self._add_step(
-                step,
-                [self._region(t, batch=b)
-                 for t, b in zip(node.inputs, in_batches)],
-                [self._region(out_name, batch=rng)],
-                kind="elementwise")
-
     def _bind_fused(self, node: Node) -> None:
-        """One step per FusedElementwise group.
+        """One step per elementwise group: a FusedElementwise node, or
+        a lone elementwise op bound as a one-entry group.
 
         Bind-time alias analysis places every entry's result: output
         entries write their destination views directly when the write
@@ -1284,8 +1186,16 @@ class ExecutionState:
         byte-identical to whole-array evaluation.
         """
         spec = self.spec
-        expr = node.attr("expr") or []
-        out_ids = list(node.attr("out_ids") or [])
+        if node.op_type == "FusedElementwise":
+            expr = node.attr("expr") or []
+            out_ids = list(node.attr("out_ids") or [])
+        else:
+            expr = [{"op": node.op_type, "attrs": node.attrs,
+                     "inputs": [("in", i) for i in range(len(node.inputs))]}]
+            out_ids = [0]
+        # Step kind keeps lone ops ("elementwise") apart from groups
+        # ("fused") in step_profile and the step_kinds census.
+        step_kind = "fused" if len(expr) > 1 else "elementwise"
         S = spec.shapes.get(node.outputs[0])
         if (not expr or len(out_ids) != len(node.outputs) or not S
                 or any(tuple(spec.shapes.get(t, ())) != tuple(S)
@@ -1542,7 +1452,7 @@ class ExecutionState:
                                list(writes) + [reads[i]
                                                for i in sorted(scratch_ops)
                                                if i < len(reads)],
-                               kind="fused")
+                               kind=step_kind)
                 return
 
             def step(tiles=tuple(tiles), ents=static_ents) -> None:
@@ -1565,7 +1475,7 @@ class ExecutionState:
                 writes = list(writes) + [reads[i]
                                          for i in sorted(scratch_ops)
                                          if i < len(reads)]
-            self._add_step(step, reads, writes, kind="fused")
+            self._add_step(step, reads, writes, kind=step_kind)
 
         shards = self._shard_count(S[0]) if len(S) >= 2 else 1
         if shards > 1:
@@ -1757,19 +1667,17 @@ class CompiledExecutable:
     (acquires beyond it wait for a release).  ``elide=False`` disables
     the zero-copy treatment of memopt-``elided`` nodes and pre-padded
     conv reads; it is the ablation the benchmarks use to show what the
-    paper's memory-layout optimization buys at runtime.  ``fuse=False``
-    likewise disables the internal ``fuse_elementwise`` rewrite, the
-    ablation behind the ``compiled_ms`` vs ``fused_ms`` benchmark pair.
+    paper's memory-layout optimization buys at runtime.  States always
+    bind the ``fuse_elementwise`` rewrite of the graph (see
+    :meth:`_run_graph`).
     """
 
     def __init__(self, graph: Graph, *, elide: bool = True,
                  workers: Optional[int] = None,
                  max_states: Optional[int] = None,
-                 fuse: bool = True,
                  policy: Optional[ShardPolicy] = None) -> None:
         self.graph = graph
         self.elide = elide
-        self.fuse = bool(fuse)
         self.workers = resolve_host_workers(workers)
         #: Sharding knobs for every state this executable binds; the
         #: default honors ``REPRO_GEMM_SHARDS``.
@@ -1799,8 +1707,8 @@ class CompiledExecutable:
         self._pools = {}
 
     def _run_graph(self) -> Graph:
-        """The graph states actually bind: elementwise-fused when
-        ``fuse`` is on and the rewrite found something to fuse.
+        """The graph states actually bind: the ``fuse_elementwise``
+        rewrite when it found something to fuse, else :attr:`graph`.
 
         Called with ``_bind_lock`` held; the fused clone is cached and
         invalidated alongside the program map on version changes.
@@ -1808,8 +1716,6 @@ class CompiledExecutable:
         tensors are a subset (interiors removed), and graph inputs and
         outputs are preserved by the pass.
         """
-        if not self.fuse:
-            return self.graph
         fused = self._fused_graph
         if fused is None:
             # Deliberately lazy: the serving path must work without the
@@ -1999,17 +1905,3 @@ class CompiledExecutable:
         finally:
             pool.release(state)
 
-
-_UNARY_OUT: Dict[str, Callable] = {
-    "Relu": lambda x, out: np.maximum(x, 0.0, out=out),
-    "Tanh": np.tanh,
-    "Sigmoid": stable_sigmoid,
-    "Silu": stable_silu,
-}
-
-_BINARY_OUT: Dict[str, Callable] = {
-    "Add": np.add,
-    "Mul": np.multiply,
-    "Sub": np.subtract,
-    "Div": np.divide,
-}

@@ -171,18 +171,18 @@ class ExecutionEngine:
 
     def infer(self, graph: Graph, feeds, compiled: bool = True,
               elide: bool = True, workers: Optional[int] = None,
-              max_states: Optional[int] = None, fuse: bool = True,
-              policy=None):
+              max_states: Optional[int] = None, policy=None):
         """Run one *numerical* inference of ``graph`` on the host.
 
         Where :meth:`run` prices a schedule on the modelled devices,
         this actually computes the outputs.  The buffer-planned
         :class:`~repro.runtime.compiled.CompiledExecutable` is the
-        default path; ``compiled=False`` falls back to the interpreted
+        default path — it always binds the graph's elementwise-fused
+        rewrite, byte-identical to the unfused oracle; ``compiled=False``
+        falls back to the interpreted
         :func:`~repro.runtime.numerical.execute` oracle.  Executables
         are cached per (graph identity, version, elide, workers,
-        max_states, fuse, policy) so repeat inference pays binding cost
-        once.
+        max_states, policy) so repeat inference pays binding cost once.
 
         ``workers`` sets the operator-parallel dispatch width inside
         the run (None defers to ``REPRO_HOST_WORKERS``, default
@@ -197,15 +197,15 @@ class ExecutionEngine:
             from repro.runtime.numerical import execute
             return execute(graph, feeds)
         return self.executable(graph, elide=elide, workers=workers,
-                               max_states=max_states, fuse=fuse,
+                               max_states=max_states,
                                policy=policy).run(feeds)
 
     def executable(self, graph: Graph, elide: bool = True,
                    workers: Optional[int] = None,
-                   max_states: Optional[int] = None, fuse: bool = True,
-                   policy=None):
+                   max_states: Optional[int] = None, policy=None):
         """The cached :class:`~repro.runtime.compiled.CompiledExecutable`
-        for ``graph``, binding one on a miss.
+        for ``graph``, binding one on a miss.  The cache key is (graph
+        identity, version, elide, workers, max_states, policy).
 
         Thread-safe: the LRU map is lock-guarded, and the (expensive)
         binding runs outside the lock — two workers missing on the same
@@ -220,16 +220,14 @@ class ExecutionEngine:
         workers = resolve_host_workers(workers)
         if policy is None:
             policy = ShardPolicy.from_env()
-        key = (id(graph), graph.version, elide, workers, max_states, fuse,
-               policy)
+        key = (id(graph), graph.version, elide, workers, max_states, policy)
         with self._compiled_lock:
             exe = self._compiled_cache.get(key)
             if exe is not None:
                 self._compiled_cache.move_to_end(key)
                 return exe
         built = CompiledExecutable(graph, elide=elide, workers=workers,
-                                   max_states=max_states, fuse=fuse,
-                                   policy=policy)
+                                   max_states=max_states, policy=policy)
         with self._compiled_lock:
             exe = self._compiled_cache.get(key)
             if exe is None:

@@ -64,7 +64,7 @@ class PlanExecutor:
 
     def infer(self, feeds, compiled: bool = True, elide: bool = True,
               workers: Optional[int] = None,
-              max_states: Optional[int] = None, fuse: bool = True,
+              max_states: Optional[int] = None,
               gemm_shards: Optional[int] = None):
         """Numerically execute the plan's graph on the given feeds.
 
@@ -73,11 +73,11 @@ class PlanExecutor:
         then runs pure kernel dispatch (``compiled=False`` falls back
         to the interpreted oracle).  ``workers`` enables the
         operator-parallel scheduler inside the run; ``max_states`` caps
-        the pool of concurrent execution states; ``fuse=False``
-        disables the executor's internal elementwise fusion;
-        ``gemm_shards`` caps intra-op GEMM row-panel sharding (None
-        defers to ``REPRO_GEMM_SHARDS``).  Concurrent calls are safe
-        and do not serialize.
+        the pool of concurrent execution states; ``gemm_shards`` caps
+        intra-op GEMM row-panel sharding (None defers to
+        ``REPRO_GEMM_SHARDS``).  The compiled path binds every
+        elementwise op as a fused group, byte-identical to the oracle.
+        Concurrent calls are safe and do not serialize.
         """
         policy = None
         if gemm_shards is not None:
@@ -86,7 +86,7 @@ class PlanExecutor:
         return self.engine.infer(self.plan.graph, feeds,
                                  compiled=compiled, elide=elide,
                                  workers=workers, max_states=max_states,
-                                 fuse=fuse, policy=policy)
+                                 policy=policy)
 
     def host_stats(self) -> dict:
         """State-pool and concurrency gauges for this plan's engine."""

@@ -281,11 +281,24 @@ def _run_silu(node: Node, inputs: List[np.ndarray]) -> np.ndarray:
     return stable_silu(inputs[0])
 
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """GELU, tanh approximation (matching common BERT implementations)."""
+    return 0.5 * x * (1.0 + np.tanh(0.7978845608 * (x + 0.044715 * x ** 3)))
+
+
+def _erf_as(x: np.ndarray) -> np.ndarray:
+    """Abramowitz & Stegun 7.1.26 rational approximation (scipy-free)."""
+    sign = np.sign(x)
+    ax = np.abs(x)
+    t = 1.0 / (1.0 + 0.3275911 * ax)
+    poly = t * (0.254829592 + t * (-0.284496736 + t * (
+        1.421413741 + t * (-1.453152027 + t * 1.061405429))))
+    return sign * (1.0 - poly * np.exp(-ax * ax))
+
+
 @kernel("Gelu")
 def _run_gelu(node: Node, inputs: List[np.ndarray]) -> np.ndarray:
-    # tanh approximation, matching common BERT implementations.
-    x = inputs[0]
-    return 0.5 * x * (1.0 + np.tanh(0.7978845608 * (x + 0.044715 * x ** 3)))
+    return _gelu_tanh(inputs[0])
 
 
 @kernel("Tanh")
@@ -295,14 +308,7 @@ def _run_tanh(node: Node, inputs: List[np.ndarray]) -> np.ndarray:
 
 @kernel("Erf")
 def _run_erf(node: Node, inputs: List[np.ndarray]) -> np.ndarray:
-    # Abramowitz & Stegun 7.1.26 rational approximation (scipy-free).
-    x = inputs[0]
-    sign = np.sign(x)
-    ax = np.abs(x)
-    t = 1.0 / (1.0 + 0.3275911 * ax)
-    poly = t * (0.254829592 + t * (-0.284496736 + t * (
-        1.421413741 + t * (-1.453152027 + t * 1.061405429))))
-    return sign * (1.0 - poly * np.exp(-ax * ax))
+    return _erf_as(inputs[0])
 
 
 @kernel("Add")
@@ -332,87 +338,19 @@ def _run_bn(node: Node, inputs: List[np.ndarray]) -> np.ndarray:
     return (x - mean) / np.sqrt(var + eps) * scale + bias
 
 
-def apply_elementwise(op: str, attrs: Mapping, ins: Sequence[np.ndarray],
-                      out: np.ndarray = None) -> np.ndarray:
-    """One elementwise op with the exact float32 sequence of its kernel.
-
-    The shared evaluation core behind both the ``FusedElementwise``
-    interpreter kernel and the compiled executor's tiled fused closures
-    (:meth:`~repro.runtime.compiled.ExecutionState._bind_fused`): every
-    branch reproduces the corresponding standalone kernel's operations
-    bit for bit, which is what lets fused execution stay byte-identical
-    to the unfused oracle.  ``out``, when given, receives the result
-    (it must not alias any input except where the standalone kernel
-    already tolerates aliasing, e.g. the sigmoid/silu divide).
-    """
-    if op == "Add":
-        return np.add(ins[0], ins[1], out=out)
-    if op == "Mul":
-        return np.multiply(ins[0], ins[1], out=out)
-    if op == "Sub":
-        return np.subtract(ins[0], ins[1], out=out)
-    if op == "Div":
-        return np.divide(ins[0], ins[1], out=out)
-    if op == "Relu":
-        return np.maximum(ins[0], 0.0, out=out)
-    if op == "Clip":
-        return np.clip(ins[0], attrs.get("min", 0.0), attrs.get("max", 6.0),
-                       out=out)
-    if op == "Sigmoid":
-        return stable_sigmoid(ins[0], out=out)
-    if op == "Silu":
-        return stable_silu(ins[0], out=out)
-    if op == "Tanh":
-        return np.tanh(ins[0], out=out)
-    if op == "Gelu":
-        x = ins[0]
-        res = 0.5 * x * (1.0 + np.tanh(0.7978845608 * (x + 0.044715 * x ** 3)))
-        if out is None:
-            return res
-        np.copyto(out, res)
-        return out
-    if op == "Erf":
-        x = ins[0]
-        sign = np.sign(x)
-        ax = np.abs(x)
-        t = 1.0 / (1.0 + 0.3275911 * ax)
-        poly = t * (0.254829592 + t * (-0.284496736 + t * (
-            1.421413741 + t * (-1.453152027 + t * 1.061405429))))
-        res = sign * (1.0 - poly * np.exp(-ax * ax))
-        if out is None:
-            return res
-        np.copyto(out, res)
-        return out
-    if op == "BatchNormalization":
-        x, scale, bias, mean, var = ins
-        # "_denom_input" marks a bind-time substitution (compiled
-        # path): the fifth operand already holds sqrt(var + eps), so
-        # it participates in tile slicing like every other operand.
-        # Recomputing it here yields the same float32 values.
-        if attrs.get("_denom_input"):
-            denom = var
-        else:
-            denom = np.sqrt(var + attrs.get("epsilon", 1e-5))
-        if out is None:
-            return (x - mean) / denom * scale + bias
-        np.subtract(x, mean, out=out)
-        np.divide(out, denom, out=out)
-        np.multiply(out, scale, out=out)
-        np.add(out, bias, out=out)
-        return out
-    raise NotImplementedError(f"no fused elementwise evaluator for {op!r}")
-
-
 def compile_elementwise(op: str, attrs: Mapping):
-    """Bind-time specialization of :func:`apply_elementwise`.
+    """The elementwise kernel table: ``kernel(ins, out) -> ndarray``.
 
-    Returns ``kernel(ins, out) -> ndarray`` performing the exact ufunc
-    sequence of the matching :func:`apply_elementwise` branch, with the
-    op string and attr lookups resolved once.  The compiled executor's
-    fused sweep calls the kernel per tile per entry, so hoisting the
-    if-chain walk and ``attrs.get`` calls out of that loop matters;
-    bit-for-bit agreement with :func:`apply_elementwise` remains the
-    hard contract (same ufuncs, same order, same constants).
+    Every kernel performs the exact ufunc sequence of the matching
+    standalone interpreter kernel (same ufuncs, same order, same
+    constants), which is what lets fused and compiled execution stay
+    byte-identical to the unfused oracle.  Op dispatch and attr lookups
+    resolve once, here: the compiled executor calls the kernel per tile
+    per entry, the ``FusedElementwise`` interpreter kernel once.
+    ``out`` None allocates the result; a given ``out`` may exactly
+    alias the data input ``ins[0]`` (binary ops: either operand), never
+    a BatchNormalization param, which is read after ``out`` is first
+    written.  Unknown ops raise ``NotImplementedError``.
     """
     if op == "Add":
         return lambda ins, out: np.add(ins[0], ins[1], out=out)
@@ -434,23 +372,28 @@ def compile_elementwise(op: str, attrs: Mapping):
         return lambda ins, out: stable_silu(ins[0], out=out)
     if op == "Tanh":
         return lambda ins, out: np.tanh(ins[0], out=out)
+    if op in ("Gelu", "Erf"):
+        # Both allocate temporaries either way; ``out`` only receives
+        # the finished result.
+        fn = _gelu_tanh if op == "Gelu" else _erf_as
+
+        def mapped(ins, out):
+            res = fn(ins[0])
+            if out is None:
+                return res
+            np.copyto(out, res)
+            return out
+        return mapped
     if op == "BatchNormalization":
-        if attrs.get("_denom_input"):
-            def bn_prepared(ins, out):
-                x, scale, bias, mean, denom = ins
-                if out is None:
-                    return (x - mean) / denom * scale + bias
-                np.subtract(x, mean, out=out)
-                np.divide(out, denom, out=out)
-                np.multiply(out, scale, out=out)
-                np.add(out, bias, out=out)
-                return out
-            return bn_prepared
         eps = attrs.get("epsilon", 1e-5)
+        # "_denom_input" marks a bind-time substitution (compiled
+        # path): the fifth operand already holds sqrt(var + eps), the
+        # same float32 values, so it tiles like every other operand.
+        prepared = bool(attrs.get("_denom_input"))
 
         def bn(ins, out):
             x, scale, bias, mean, var = ins
-            denom = np.sqrt(var + eps)
+            denom = var if prepared else np.sqrt(var + eps)
             if out is None:
                 return (x - mean) / denom * scale + bias
             np.subtract(x, mean, out=out)
@@ -459,9 +402,7 @@ def compile_elementwise(op: str, attrs: Mapping):
             np.add(out, bias, out=out)
             return out
         return bn
-    # Gelu / Erf allocate temporaries either way; the generic
-    # evaluator's branch is already their whole cost.
-    return lambda ins, out: apply_elementwise(op, attrs, ins, out=out)
+    raise NotImplementedError(f"no elementwise kernel for {op!r}")
 
 
 @kernel("FusedElementwise")
@@ -471,8 +412,8 @@ def _run_fused_elementwise(node: Node, inputs: List[np.ndarray]):
     for entry in expr:
         ins = [inputs[ref[1]] if ref[0] == "in" else vals[ref[1]]
                for ref in entry["inputs"]]
-        vals.append(apply_elementwise(
-            entry["op"], entry.get("attrs") or {}, ins))
+        vals.append(compile_elementwise(
+            entry["op"], entry.get("attrs") or {})(ins, None))
     outs = [vals[i] for i in node.attr("out_ids")]
     return outs[0] if len(outs) == 1 else tuple(outs)
 

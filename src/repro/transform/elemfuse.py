@@ -219,9 +219,11 @@ def fuse_elementwise(graph: Graph) -> Graph:
     """Group maximal elementwise chains/DAGs into FusedElementwise nodes.
 
     Functional wrapper over the registered ``fuse_elementwise`` pass
-    (instrumented, clone-disciplined).  The compiled executor applies
-    the raw pass internally (``CompiledExecutable(fuse=True)``), so
-    running this explicitly is only needed when inspecting or
+    (instrumented, clone-disciplined).  The compiled executor always
+    applies the raw pass internally (see
+    :meth:`repro.runtime.compiled.CompiledExecutable._run_graph`) and
+    binds any elementwise op left outside a group as a one-entry group,
+    so running this explicitly is only needed when inspecting or
     serializing the fused graph itself.
     """
     from repro.transform.passes import run_pass

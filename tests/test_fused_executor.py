@@ -1,13 +1,15 @@
 """Compiled-executor suite for fused elementwise groups.
 
-The executor applies ``fuse_elementwise`` internally by default
-(``CompiledExecutable(fuse=True)``); its contract is unchanged — byte
-identity with the *unfused* interpreted oracle — so these tests drive
-the fused compiled path against :func:`repro.runtime.numerical.execute`
-on the original graphs, across the registry, batch sizes, and elision
-modes, plus adversarial aliasing shapes.  Also covered here: the
-read-only strided im2col window views, the hazard-graph width gate for
-operator-parallel dispatch, and the per-op-kind step profile.
+The executor always applies ``fuse_elementwise`` internally and binds
+every elementwise op the pass leaves alone as a one-entry group; its
+contract is byte identity with the *unfused* interpreted oracle, so
+these tests drive the compiled path against
+:func:`repro.runtime.numerical.execute` on the original graphs, across
+the registry, batch sizes, and elision modes, plus adversarial aliasing
+shapes, lone ops, and Conv/Gemm bias + activation epilogues.  Also
+covered here: the read-only strided im2col window views, the
+hazard-graph width gate for operator-parallel dispatch, and the
+per-op-kind step profile.
 """
 
 import numpy as np
@@ -15,9 +17,15 @@ import pytest
 
 from repro.graph.builder import GraphBuilder
 from repro.models import build_model, list_models
-from repro.runtime.compiled import CompiledExecutable
+from repro.runtime.compiled import (
+    CompiledExecutable,
+    ExecutionState,
+    _ProgramSpec,
+)
+from repro.runtime.gemmpar import ShardPolicy
 from repro.runtime.numerical import conv_window_view, execute
 from repro.runtime.verify import random_feeds
+from repro.transform.fusion import fuse
 from repro.transform.memopt import optimize_memory
 
 SMALL_MODELS = ("toy", "mobilenet-v2", "shufflenet-v2")
@@ -42,9 +50,10 @@ class TestRegistryByteIdentity:
     def test_fused_batch1(self, model):
         graph = build_model(model)
         feeds = random_feeds(graph, seed=0)
-        ref = _assert_oracle_identical(graph, feeds)
-        # fuse=False must agree too (same oracle, same bytes).
-        _assert_oracle_identical(graph, feeds, ref=ref, fuse=False)
+        _assert_oracle_identical(graph, feeds)
+        # BN folded + activations fused leaves lone elementwise ops the
+        # way compiled plans do, so one-entry group binding runs here.
+        _assert_oracle_identical(fuse(graph), feeds)
 
     @pytest.mark.parametrize("model", SMALL_MODELS)
     @pytest.mark.parametrize("batch", [1, 8])
@@ -167,8 +176,6 @@ class TestWidthGate:
         # mobilenet-v2 is a pure chain: hazard-graph width 1 at the
         # operator level, so with intra-op GEMM sharding pinned off the
         # dispatch must take the serial fast path even with workers.
-        from repro.runtime.gemmpar import ShardPolicy
-
         graph = build_model("mobilenet-v2")
         feeds = random_feeds(graph, seed=0)
         exe = CompiledExecutable(graph, workers=4,
@@ -182,10 +189,11 @@ class TestWidthGate:
     def test_chain_graph_widens_with_gemm_shards(self):
         # The same chain gains schedulable width once row-panel GEMM
         # sharding engages: disjoint per-panel writes carry no hazard
-        # edges, so the shards of one conv overlap on the pool.
+        # edges, so the shards of one conv overlap on the pool.  The
+        # policy is pinned so REPRO_GEMM_SHARDS=1 cannot turn them off.
         graph = build_model("mobilenet-v2")
         feeds = random_feeds(graph, seed=0)
-        exe = CompiledExecutable(graph, workers=4)
+        exe = CompiledExecutable(graph, workers=4, policy=ShardPolicy())
         out = exe.run(feeds)
         ref = execute(graph, feeds)
         for name in ref:
@@ -240,10 +248,172 @@ class TestProfiling:
         assert stats["width"] >= 1
         assert stats["step_kinds"].get("fused", 0) > 0
 
-    def test_fuse_off_has_no_fused_steps(self):
-        graph = build_model("mobilenet-v2")
-        exe = CompiledExecutable(graph, fuse=False)
-        exe.run(random_feeds(graph, seed=0))
-        stats = exe.pool_stats()
-        assert stats["fused_groups"] == 0
+
+def _run_checked(exe, graph, feeds):
+    """One ``exe`` run, byte-compared with the oracle; returns stats."""
+    ref = execute(graph, feeds)
+    out = exe.run(feeds)
+    for name in ref:
+        assert ref[name].tobytes() == out[name].tobytes(), name
+    return exe.pool_stats()
+
+
+def _lone_graph(name, op, extra_inputs=(), attrs=None, seed=10):
+    """conv -> lone ``op`` -> conv, so the pass finds no group."""
+    b = GraphBuilder(name, seed=seed)
+    x = b.input("x", (1, 8, 8, 4))
+    extra = [b.input(t, (4,)) for t in extra_inputs]
+    c = b.conv(x, cout=4, kernel=1, name="c1")
+    y = b._emit(op, [c] + extra, attrs, "lone")
+    b.output(b.conv(y, cout=4, kernel=1, name="tail"))
+    return b.build()
+
+
+class TestLoneElementwise:
+    """Elementwise ops the fusion pass leaves alone bind as one-entry
+    groups: step kind "elementwise", same binder as fused groups."""
+
+    def test_lone_add_in_place_on_dying_input(self):
+        b = GraphBuilder("alias", seed=8)
+        x = b.input("x", (1, 8, 8, 4))
+        left = b.conv(x, cout=4, kernel=1, name="ca")
+        right = b.conv(x, cout=4, kernel=1, name="cb")
+        y = b.add(left, right, name="sum")
+        b.output(b.conv(y, cout=4, kernel=1, name="tail"))
+        graph = b.build()
+        feeds = random_feeds(graph, seed=8)
+        exe = CompiledExecutable(graph)
+        storage = exe.buffer_plan().storage
+        # The planner hands the Add the exact buffer of a dead input.
+        assert storage[y] in (storage[left], storage[right])
+        for _ in range(2):
+            stats = _run_checked(exe, graph, feeds)
+        assert stats["step_kinds"]["elementwise"] == 1
+        _, pool = exe._pool_for(feeds)
+        state = pool.acquire()
+        try:
+            # Exact alias -> direct whole-array write, no tile staging.
+            assert state._scratch.num_slots == 0
+        finally:
+            pool.release(state)
+
+    def test_se_broadcast_mul_batch_sharded(self):
+        # (N,H,W,C) x (N,1,1,C): the gate is sliced per batch shard
+        # along with the data operand.
+        b = GraphBuilder("se", seed=9)
+        x = b.input("x", (1, 8, 8, 16))
+        c = b.conv(x, cout=16, kernel=1, name="c1")
+        gate = b.conv(b.global_avgpool(c, name="gap"), cout=16, kernel=1,
+                      name="squeeze")
+        assert tuple(b.graph.tensors[gate].shape) == (1, 1, 1, 16)
+        y = b.mul(c, gate, name="excite")
+        b.output(b.conv(y, cout=8, kernel=1, name="tail"))
+        graph = b.build()
+        feeds = random_feeds(graph, seed=9, batch=8)
+        stats = _run_checked(CompiledExecutable(graph, workers=4), graph,
+                             feeds)
+        assert stats["step_kinds"]["elementwise"] == 4
+
+    @pytest.mark.parametrize("op", ["Gelu", "Erf"])
+    def test_lone_gelu_and_erf(self, op):
+        graph = _lone_graph(f"lone-{op}", op)
+        stats = _run_checked(CompiledExecutable(graph), graph,
+                             random_feeds(graph, seed=10))
+        assert stats["step_kinds"]["elementwise"] == 1
+
+    @pytest.mark.parametrize("batch,workers", [(1, 1), (8, 4)])
+    def test_lone_bn_with_graph_input_params(self, batch, workers):
+        graph = _lone_graph("bn-inputs", "BatchNormalization",
+                            ("scale", "bias", "mean", "var"),
+                            {"epsilon": 1e-3}, seed=11)
+        rng = np.random.default_rng(11)
+        feeds = {name: rng.standard_normal(4).astype(np.float32)
+                 for name in ("scale", "bias", "mean")}
+        feeds["var"] = (np.abs(rng.standard_normal(4)) + 0.1).astype(
+            np.float32)
+        feeds["x"] = rng.standard_normal((batch, 8, 8, 4)).astype(
+            np.float32)
+        stats = _run_checked(CompiledExecutable(graph, workers=workers),
+                             graph, feeds)
+        assert stats["step_kinds"]["elementwise"] == (4 if batch == 8
+                                                      else 1)
+
+    def test_fused_mobilenet_census(self):
+        # BN folded and activations fused: only the 10 residual Adds
+        # remain elementwise, each lone, so no fused group exists.
+        graph = fuse(build_model("mobilenet-v2"))
+        stats = _run_checked(CompiledExecutable(graph), graph,
+                             random_feeds(graph, seed=0))
+        assert stats["step_kinds"]["elementwise"] == 10
         assert "fused" not in stats["step_kinds"]
+        assert stats["fused_groups"] == 0
+
+
+_ACTIVATIONS = [
+    ("relu", {}),
+    ("clip", {}),
+    ("clip", {"activation_min": -0.5, "activation_max": 0.25}),
+    ("silu", {}),
+    ("sigmoid", {}),
+    ("gelu", {}),
+]
+
+
+def _with_activation(graph, name, kind, extra):
+    node = graph.node(name)
+    node.attrs["activation"] = kind
+    node.attrs.update(extra)
+    graph.touch()
+
+
+def _epilogue_graph(op, kind, extra):
+    """Conv (im2col GEMM, then depthwise) or Gemm, each with a random
+    bias and the given fused activation."""
+    b = GraphBuilder(f"epi-{op}", seed=12)
+    if op == "Conv":
+        x = b.input("x", (1, 32, 32, 32))
+        # Unpadded windows keep the conv's destination contiguous, so
+        # its GEMM splits into row panels.
+        b.output(b.dwconv(b.conv(x, cout=32, kernel=3, pad=0,
+                                 name="conv"), pad=0, name="dw"))
+        names = ("conv", "dw")
+    else:
+        x = b.input("x", (64, 512))
+        b.output(b.gemm(x, cout=128, name="fc"))
+        names = ("fc",)
+    graph = b.build()
+    rng = np.random.default_rng(12)
+    for name in names:
+        bias = graph.node(name).inputs[2]
+        graph.initializers[bias] = rng.standard_normal(
+            graph.initializers[bias].shape).astype(np.float32)
+        _with_activation(graph, name, kind, extra)
+    return graph
+
+
+class TestEpilogues:
+    """Conv/Gemm bias + activation epilogues from compile_elementwise."""
+
+    @pytest.mark.parametrize("op", ["Conv", "Gemm"])
+    @pytest.mark.parametrize("kind,extra", _ACTIVATIONS)
+    def test_epilogue_byte_identity(self, op, kind, extra):
+        graph = _epilogue_graph(op, kind, extra)
+        feeds = random_feeds(graph, seed=12)
+        _run_checked(CompiledExecutable(graph), graph, feeds)
+        # Forced row panels: the epilogue runs once per panel.
+        stats = _run_checked(
+            CompiledExecutable(graph, workers=1,
+                               policy=ShardPolicy(gemm_shards=4)),
+            graph, feeds)
+        assert stats["gemm_sharded_steps"] > 0
+        if op == "Conv":
+            # Batch 8 at 4 workers batch-shards the depthwise epilogue.
+            _run_checked(CompiledExecutable(graph, workers=4), graph,
+                         random_feeds(graph, seed=12, batch=8))
+
+    @pytest.mark.parametrize("op", ["Conv", "Gemm"])
+    def test_unknown_activation_raises_at_bind(self, op):
+        graph = _epilogue_graph(op, "hardswish", {})
+        shapes = {n: tuple(t.shape) for n, t in graph.tensors.items()}
+        with pytest.raises(ValueError, match="unknown fused activation"):
+            ExecutionState(_ProgramSpec(graph, shapes, elide=True))
