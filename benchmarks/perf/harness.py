@@ -121,7 +121,7 @@ def bench_numerical(model: str, batches: Iterable[int],
             metrics[f"numerical.{model}.batch1_peak_mb"] = _peak_mb(
                 lambda: execute(graph, feeds))
             exe = CompiledExecutable(graph)
-            exe.run(feeds)  # warm-up: shape capture, binding, arena
+            exe.run(feeds)  # warm-up: binding, arena
             metrics[f"numerical.{model}.fused_ms"] = _best_of(
                 lambda: exe.run(feeds), rounds)
             # Footprint includes binding: the arena is the live set.

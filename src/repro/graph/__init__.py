@@ -15,7 +15,8 @@ from repro.graph.tensor import TensorInfo
 from repro.graph.node import Node
 from repro.graph.graph import Graph, GraphError
 from repro.graph.builder import GraphBuilder
-from repro.graph.ops import infer_shapes, OP_REGISTRY, is_pim_candidate
+from repro.graph.ops import (
+    infer_shapes, OP_REGISTRY, ShapeError, is_pim_candidate, propagate_shapes)
 from repro.graph.serialize import graph_to_dict, graph_from_dict, save_graph, load_graph
 
 __all__ = [
@@ -25,6 +26,8 @@ __all__ = [
     "GraphError",
     "GraphBuilder",
     "infer_shapes",
+    "propagate_shapes",
+    "ShapeError",
     "OP_REGISTRY",
     "is_pim_candidate",
     "graph_to_dict",

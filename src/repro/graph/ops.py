@@ -18,9 +18,13 @@ Conventions
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from math import prod
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro.graph.node import Node
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.graph.graph import Graph
 
 Shape = Tuple[int, ...]
 InferFn = Callable[[Node, List[Shape]], List[Shape]]
@@ -268,26 +272,45 @@ def _infer_flatten(node: Node, input_shapes: List[Shape]) -> List[Shape]:
     return [(n, rest)]
 
 
-@register("Reshape")
-def _infer_reshape(node: Node, input_shapes: List[Shape]) -> List[Shape]:
-    data = input_shapes[0]
-    target = list(node.attr("shape"))
-    total = 1
-    for d in data:
-        total *= d
+def reshape_batch_target(data: Shape, target: Sequence[int]) -> Shape:
+    """The shape a ``Reshape`` with attribute ``target`` applies to ``data``.
+
+    ``target`` was recorded at the graph's declared batch.  For a
+    batched input whose element count differs, the leading (batch) dim
+    becomes ``-1`` so every sample reshapes identically, provided the
+    trailing dims divide the input.  Otherwise ``target`` is returned
+    unchanged.  The numpy kernel and :func:`propagate_shapes` both use
+    this rule, so executed and propagated shapes cannot diverge.
+    """
+    target = tuple(target)
+    total = prod(data)
+    if target and prod(target) != total:
+        rest = prod(target[1:])
+        if rest > 0 and total % rest == 0:
+            return (-1,) + target[1:]
+    return target
+
+
+def _resolve_reshape(data: Shape, target: Sequence[int]) -> Shape:
+    """``target`` with its ``-1`` resolved against ``data``, as numpy does."""
+    target = list(target)
+    total = prod(data)
     if target.count(-1) > 1:
         raise ShapeError("Reshape allows at most one -1")
-    known = 1
-    for d in target:
-        if d != -1:
-            known *= d
+    known = prod(d for d in target if d != -1)
     if -1 in target:
-        if total % known != 0:
+        if known == 0 or total % known != 0:
             raise ShapeError(f"cannot reshape {data} to {target}")
         target[target.index(-1)] = total // known
     elif known != total:
         raise ShapeError(f"cannot reshape {data} ({total}) to {target} ({known})")
-    return [tuple(target)]
+    return tuple(target)
+
+
+@register("Reshape")
+def _infer_reshape(node: Node, input_shapes: List[Shape]) -> List[Shape]:
+    # Strict: the declared target must fit the declared input exactly.
+    return [_resolve_reshape(input_shapes[0], node.attr("shape"))]
 
 
 @register("Transpose")
@@ -373,4 +396,35 @@ def infer_shapes(node: Node, input_shapes: List[Shape]) -> List[Shape]:
             f"node {node.name!r} declares {len(node.outputs)} outputs but "
             f"inference produced {len(shapes)}"
         )
+    return shapes
+
+
+def propagate_shapes(graph: Graph,
+                     input_shapes: Mapping[str, Sequence[int]]
+                     ) -> Dict[str, Shape]:
+    """Every tensor's shape when ``graph`` runs on inputs of ``input_shapes``.
+
+    One toposorted pass of :func:`infer_shapes`, except that ``Reshape``
+    rescales its target's batch dim (:func:`reshape_batch_target`), as
+    the numpy kernel does.  Weights and tensors no node produces keep
+    their declared shapes.  Raises :class:`ShapeError` naming the first
+    node that cannot accept its input shapes.
+    """
+    shapes: Dict[str, Shape] = {
+        name: tuple(info.shape) for name, info in graph.tensors.items()}
+    for name in graph.inputs:
+        shapes[name] = tuple(input_shapes[name])
+    for node in graph.toposort():
+        ins = [shapes[t] for t in node.inputs]
+        try:
+            if node.op_type == "Reshape":
+                outs = [_resolve_reshape(
+                    ins[0], reshape_batch_target(ins[0], node.attr("shape")))]
+            else:
+                outs = infer_shapes(node, ins)
+        except (ValueError, IndexError, ZeroDivisionError) as exc:
+            raise ShapeError(
+                f"node {node.name!r} ({node.op_type}) cannot accept input "
+                f"shapes {ins}: {exc}") from exc
+        shapes.update(zip(node.outputs, outs))
     return shapes

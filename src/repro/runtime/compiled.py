@@ -76,6 +76,7 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.graph.node import Node
+from repro.graph.ops import propagate_shapes
 from repro.runtime.bufferplan import BufferPlan, plan_buffers
 from repro.runtime.gemmpar import (
     DEFAULT_SHARD_MIN_BATCH,
@@ -182,44 +183,6 @@ class _Scratch:
             n *= d
         start = slot * self.need_slot
         return buf[start:start + n].reshape(shape)
-
-
-def _capture_shapes(graph: Graph,
-                    feeds: Mapping[str, np.ndarray]) -> Dict[str, tuple]:
-    """Exact per-tensor run shapes for feeds that differ from declared.
-
-    Runs the interpreted kernels once (freeing tensors as their last
-    consumer passes, like ``execute``), recording every shape.  Only
-    needed for batch-polymorphic execution; when feeds match the
-    declared shapes the graph's own tensor table is used instead.
-    """
-    inits = graph_initializers_f32(graph)
-    shapes: Dict[str, tuple] = {
-        name: tuple(info.shape) for name, info in graph.tensors.items()}
-    env: Dict[str, np.ndarray] = {
-        name: np.asarray(feeds[name], dtype=np.float32)
-        for name in graph.inputs}
-    for name, arr in env.items():
-        shapes[name] = arr.shape
-    order = graph.toposort()
-    remaining: Dict[str, int] = {}
-    for n in order:
-        for t in n.inputs:
-            remaining[t] = remaining.get(t, 0) + 1
-    keep = set(graph.outputs) | set(graph.inputs)
-    for n in order:
-        fn = KERNELS.get(n.op_type)
-        if fn is None:
-            raise NotImplementedError(f"no numpy kernel for op {n.op_type!r}")
-        result = fn(n, [env[t] if t in env else inits[t] for t in n.inputs])
-        for t, value in zip(n.outputs, _node_results(n, result)):
-            env[t] = value
-            shapes[t] = value.shape
-        for t in n.inputs:
-            remaining[t] -= 1
-            if remaining[t] == 0 and t not in keep and t in env:
-                del env[t]
-    return shapes
 
 
 #: Fused-activation kinds (``fuse_activations`` stores the absorbed
@@ -1656,7 +1619,11 @@ class CompiledExecutable:
 
     Programs are cached per feed-shape signature (and invalidated when
     the graph's mutation :attr:`~repro.graph.graph.Graph.version`
-    changes).  Each program owns a bounded :class:`StatePool` of
+    changes).  A new signature takes its run shapes from the static
+    shape rules (:func:`~repro.graph.ops.propagate_shapes`), not from
+    an inference, so binding it costs milliseconds; feeds the graph
+    cannot accept raise :class:`~repro.graph.ops.ShapeError`.  Each
+    program owns a bounded :class:`StatePool` of
     :class:`ExecutionState` instances; :meth:`run` checks one out,
     executes on its private arena, and returns it — concurrent callers
     proceed on distinct states with no shared lock on the hot path
@@ -1732,6 +1699,14 @@ class CompiledExecutable:
 
     def _pool_for(self, feeds: Mapping[str, np.ndarray]
                   ) -> Tuple[_ProgramSpec, StatePool]:
+        """The program and state pool for ``feeds``' shapes, bound once.
+
+        A new shape signature propagates shapes through the graph's
+        static rules and builds the program under ``_bind_lock``; no
+        inference runs and no state is bound here.  Raises
+        :class:`~repro.graph.ops.ShapeError` (nothing cached) when a
+        node cannot accept the feed shapes.
+        """
         with self._bind_lock:
             if self.graph.version != self._version:
                 self._pools.clear()
@@ -1742,17 +1717,10 @@ class CompiledExecutable:
                 for name in self.graph.inputs)
             entry = self._pools.get(key)
             if entry is None:
-                declared = all(
-                    tuple(np.shape(feeds[name]))
-                    == tuple(self.graph.tensors[name].shape)
-                    for name in self.graph.inputs)
-                if declared:
-                    shapes = {name: tuple(info.shape)
-                              for name, info in self.graph.tensors.items()}
-                else:
-                    shapes = _capture_shapes(self.graph, feeds)
-                spec = _ProgramSpec(self._run_graph(), shapes,
-                                    elide=self.elide)
+                spec = _ProgramSpec(
+                    self._run_graph(),
+                    propagate_shapes(self.graph, dict(key)),
+                    elide=self.elide)
                 shards = self.workers
                 parallel = self.workers > 1
                 policy = self.policy

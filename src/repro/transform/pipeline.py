@@ -204,6 +204,10 @@ def pipeline_chain(graph: Graph, chain: Sequence[str], num_stages: int = 2,
     final_out = nodes[last].outputs[0]
     for node in nodes:
         g.remove_node(node.name)
+    # The chain's intermediate outputs now have neither producer nor
+    # consumer; drop them so plans do not serialize orphan entries.
+    for node in nodes[:last]:
+        del g.tensors[node.outputs[0]]
     g.add_node(Node(
         name=f"{nodes[last].name}__pl_join",
         op_type="Concat",

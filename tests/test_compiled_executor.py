@@ -13,17 +13,29 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.graph import propagate_shapes
 from repro.graph.builder import GraphBuilder
-from repro.graph.ops import is_pim_candidate
+from repro.graph.ops import OP_REGISTRY, ShapeError, is_pim_candidate
 from repro.models import build_model, list_models
 from repro.runtime.compiled import CompiledExecutable
-from repro.runtime.numerical import execute
+from repro.runtime.numerical import (
+    KERNELS,
+    _node_results,
+    execute,
+    graph_initializers_f32,
+)
 from repro.runtime.verify import random_feeds, verify_equivalence
 from repro.transform.memopt import optimize_memory
 from repro.transform.pipeline import pipeline_chain
 from repro.transform.split import apply_mddp
 
 SMALL_MODELS = ("toy", "mobilenet-v2", "shufflenet-v2")
+#: Models whose pimflow plans the ``infer`` benchmark runs at batch 8.
+INFER_MODELS = ("mobilenet-v2", "efficientnet-v1-b0", "resnet-50")
+#: efficientnet-v1-b1..b6 reuse b0's op set at larger sizes.
+SHAPE_MODELS = [m for m in list_models()
+                if not m.startswith("efficientnet-v1-b")
+                or m == "efficientnet-v1-b0"]
 
 
 def _mddp_split(graph, ratio=0.5):
@@ -230,3 +242,88 @@ class TestStackWiring:
         stats = exe.stats()
         assert stats["arena_bytes"] > 0
         assert stats["padded_conv_reads"] > 0
+
+
+def _executed_shapes(graph, feeds):
+    """Oracle: every tensor's shape as the interpreted kernels produce it.
+
+    Runs the graph once (freeing tensors after their last consumer, as
+    ``execute`` does) and records each output's shape; tensors no node
+    produces keep their declared shapes.
+    """
+    inits = graph_initializers_f32(graph)
+    shapes = {name: tuple(info.shape) for name, info in graph.tensors.items()}
+    env = {name: np.asarray(feeds[name], dtype=np.float32)
+           for name in graph.inputs}
+    for name, arr in env.items():
+        shapes[name] = arr.shape
+    order = graph.toposort()
+    remaining = {}
+    for n in order:
+        for t in n.inputs:
+            remaining[t] = remaining.get(t, 0) + 1
+    keep = set(graph.outputs) | set(graph.inputs)
+    for n in order:
+        result = KERNELS[n.op_type](
+            n, [env[t] if t in env else inits[t] for t in n.inputs])
+        for t, value in zip(n.outputs, _node_results(n, result)):
+            env[t] = value
+            shapes[t] = value.shape
+        for t in n.inputs:
+            remaining[t] -= 1
+            if remaining[t] == 0 and t not in keep and t in env:
+                del env[t]
+    return shapes
+
+
+class TestShapePropagation:
+    """Run shapes at a new batch come from the static shape rules."""
+
+    def test_every_kernel_has_a_shape_rule(self):
+        assert set(KERNELS) <= set(OP_REGISTRY)
+
+    @pytest.mark.parametrize("model", SHAPE_MODELS)
+    def test_registry_matches_executed_shapes(self, model):
+        graph = build_model(model)
+        feeds = random_feeds(graph, seed=0, batch=2)
+        shapes = propagate_shapes(
+            graph, {n: f.shape for n, f in feeds.items()})
+        assert shapes == _executed_shapes(graph, feeds)
+
+    @pytest.mark.parametrize("model", INFER_MODELS)
+    def test_pimflow_plan_matches_executed_shapes(self, model):
+        from repro.pimflow import PimFlow, PimFlowConfig
+
+        plan = PimFlow(PimFlowConfig(mechanism="pimflow", jobs=1)) \
+            .build_plan(build_model(model), model_name=model)
+        feeds = random_feeds(plan.graph, seed=0, batch=8)
+        shapes = propagate_shapes(
+            plan.graph, {n: f.shape for n, f in feeds.items()})
+        assert shapes == _executed_shapes(plan.graph, feeds)
+
+    def test_reshape_rescales_batch_like_the_kernel(self):
+        b = GraphBuilder("r", seed=0)
+        x = b.input("x", (1, 2, 2, 3))
+        y = b.reshape(x, (1, 12), name="flat")
+        b.output(y)
+        graph = b.build()
+        feeds = random_feeds(graph, seed=0, batch=5)
+        shapes = propagate_shapes(graph, {"x": (5, 2, 2, 3)})
+        assert shapes == _executed_shapes(graph, feeds)
+        assert shapes[y] == (5, 12)
+        # Graph.validate stays strict at declared shapes.
+        graph.nodes[0].attrs["shape"] = (2, 12)
+        with pytest.raises(ShapeError):
+            graph.validate()
+
+    @pytest.mark.parametrize("shape", [(1, 56, 56, 4), (1, 56, 56)],
+                             ids=["channels", "rank"])
+    def test_bad_feed_raises_shape_error_before_binding(self, shape):
+        graph = build_model("toy")
+        exe = CompiledExecutable(graph)
+        exe.run(random_feeds(graph, seed=0))
+        (name,) = graph.inputs
+        feeds = {name: np.zeros(shape, dtype=np.float32)}
+        with pytest.raises(ShapeError, match="node '"):
+            exe.run(feeds)
+        assert len(exe._pools) == 1

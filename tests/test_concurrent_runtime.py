@@ -115,6 +115,40 @@ class TestPooledByteIdentity:
         assert not failures, "\n".join(failures)
         assert exe.pool_stats()["programs"] == 2
 
+    def test_concurrent_first_calls_at_new_batches(self):
+        # Every thread's first call binds a new program at once; shapes
+        # come from the static rules, so binds race only on the lock.
+        graph = build_model("toy")
+        exe = CompiledExecutable(graph)
+        batches = (1, 2, 3, 8)
+        refs = {}
+        for batch in batches:
+            feeds = random_feeds(graph, seed=batch, batch=batch)
+            refs[batch] = (feeds, execute(graph, feeds))
+        failures = []
+        barrier = threading.Barrier(len(batches))
+
+        def worker(batch):
+            try:
+                feeds, ref = refs[batch]
+                barrier.wait(timeout=60)
+                out = exe.run(feeds)
+                for name in ref:
+                    if ref[name].tobytes() != out[name].tobytes():
+                        failures.append(f"batch {batch}: {name} diverged")
+            except Exception as exc:  # pragma: no cover - failure path
+                failures.append(f"batch {batch}: {type(exc).__name__}: {exc}")
+
+        ts = [threading.Thread(target=worker, args=(b,), daemon=True)
+              for b in batches]
+        for t in ts:
+            t.start()
+        for t in ts:
+            t.join(timeout=300)
+            assert not t.is_alive(), "first-call worker wedged"
+        assert not failures, "\n".join(failures)
+        assert exe.pool_stats()["programs"] == len(batches)
+
 
 class TestOperatorParallelByteIdentity:
     """The hazard-edged scheduler must equal serial bit for bit."""

@@ -246,7 +246,9 @@ class TestExecutorByteIdentity:
         graph = build_model(model)
         feeds = random_feeds(graph, seed=0, batch=8)
         ref = execute(graph, feeds)
-        exe = CompiledExecutable(graph, workers=4)
+        # The library-default policy, not REPRO_GEMM_SHARDS: this test
+        # checks that sharding engages, so the env must not pin it off.
+        exe = CompiledExecutable(graph, workers=4, policy=ShardPolicy())
         out = exe.run(feeds)
         for name in ref:
             assert ref[name].tobytes() == out[name].tobytes()

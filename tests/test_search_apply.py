@@ -3,9 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.models import build_model
 from repro.runtime.numerical import execute
 from repro.search.apply import apply_decisions
 from repro.search.solver import Decision
+
+#: The paper's five CNNs (the benchmark's ``compile`` workload).
+PAPER_CNNS = ("efficientnet-v1-b0", "mobilenet-v2", "mnasnet-1.0",
+              "resnet-50", "vgg-16")
+
+
+def _orphan_tensors(graph):
+    """Tensor-table entries no input, initializer or node output names."""
+    known = set(graph.inputs) | set(graph.initializers)
+    for node in graph.nodes:
+        known.update(node.outputs)
+    return sorted(set(graph.tensors) - known)
 
 
 class TestApplyDecisions:
@@ -39,6 +52,7 @@ class TestApplyDecisions:
         g = apply_decisions(pointwise_chain_graph, decisions)
         g.validate()
         assert any("__pl_" in n.name for n in g.nodes)
+        assert _orphan_tensors(g) == []
 
     def test_memopt_applied_last(self, pointwise_chain_graph):
         decisions = [
@@ -72,3 +86,12 @@ def test_unknown_mode_rejected(pointwise_chain_graph):
     object.__setattr__(bad, "mode", "teleport")
     with pytest.raises(ValueError):
         apply_decisions(pointwise_chain_graph, [bad])
+
+
+@pytest.mark.parametrize("model", PAPER_CNNS)
+def test_pimflow_plan_has_no_orphan_tensors(model):
+    from repro.pimflow import PimFlow, PimFlowConfig
+
+    plan = PimFlow(PimFlowConfig(mechanism="pimflow", jobs=1)).build_plan(
+        build_model(model), model_name=model)
+    assert _orphan_tensors(plan.graph) == []
