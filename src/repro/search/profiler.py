@@ -52,8 +52,9 @@ def extract_subgraph(graph: Graph, node_names: Sequence[str]) -> Graph:
     """Isolate ``node_names`` into a standalone region graph.
 
     Tensors consumed from outside the region become graph inputs;
-    initializers are carried over; tensors produced in the region and
-    consumed outside (or that are graph outputs) become outputs.
+    initializers are shared with ``graph``, never copied; tensors
+    produced in the region and consumed outside (or that are graph
+    outputs) become outputs.
     """
     wanted = set(node_names)
     region = Graph(f"{graph.name}__region")

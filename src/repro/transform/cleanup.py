@@ -40,8 +40,8 @@ def _fold_constants(graph: Graph) -> Graph:
     """Evaluate nodes whose inputs are all initializers.
 
     The node is removed and its output registered as a new initializer,
-    so downstream passes (e.g. the FC weight pre-splitting of MD-DP)
-    see a constant operand.
+    so downstream passes (e.g. MD-DP, which splits an FC weight into
+    column views) see a constant operand.
     """
     from repro.runtime.numerical import execute_node
 

@@ -7,8 +7,11 @@ execute in parallel on disjoint data:
   which NHWC slices and concats are contiguous, letting the memory
   optimizer elide the data movement.  Interior split boundaries use
   overlapping (halo) input rows instead of padding.
-* **Gemm/MatMul** nodes split along the output columns; the constant
-  weight matrix is pre-split, so no runtime slice is needed at all.
+* **Gemm/MatMul** nodes split along the output columns; each part's
+  weight (and bias) is a read-only column view of the constant source
+  initializer, so no runtime slice is needed and no weight bytes are
+  copied.  Search profiling prices every trial ratio from shapes
+  alone, so a trial split costs no weight memory either.
 
 The resulting subgraph is ``Slice -> Conv_gpu / Slice -> Conv_pim ->
 Concat`` producing a tensor identical to the original node's output.
@@ -177,8 +180,20 @@ def _split_conv(g: Graph, node: Node, oh_gpu: int) -> None:
     ))
 
 
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
+
+
 def _split_gemm(g: Graph, node: Node, n_gpu: int) -> None:
-    """Replace a Gemm/MatMul with an output-column-split GPU/PIM pair."""
+    """Replace a Gemm/MatMul with an output-column-split GPU/PIM pair.
+
+    The part weights ``weight[:, c0:c1]`` and biases ``bias[c0:c1]``
+    are registered as read-only views sharing the source initializer's
+    storage.  The executors hand the strided views straight to
+    ``np.matmul``; one that needs a contiguous operand repacks it when
+    it binds the node.
+    """
     w_name = node.inputs[1]
     if w_name not in g.initializers:
         raise TransformError(
@@ -196,11 +211,11 @@ def _split_gemm(g: Graph, node: Node, n_gpu: int) -> None:
     splits = [("gpu", 0, n_gpu), ("pim", n_gpu, n_total)]
     for tag, c0, c1 in splits:
         w_part_name = f"{w_name}__{node.name}_{tag}"
-        g.add_initializer(w_part_name, np.ascontiguousarray(weight[:, c0:c1]), dtype)
+        g.add_initializer(w_part_name, _read_only(weight[:, c0:c1]), dtype)
         inputs = [node.inputs[0], w_part_name]
         if bias is not None:
             b_part_name = f"{node.inputs[2]}__{node.name}_{tag}"
-            g.add_initializer(b_part_name, np.ascontiguousarray(bias[c0:c1]), dtype)
+            g.add_initializer(b_part_name, _read_only(bias[c0:c1]), dtype)
             inputs.append(b_part_name)
         out = f"{node.name}__out_{tag}"
         g.add_tensor(TensorInfo(out, (m, c1 - c0), dtype))

@@ -174,6 +174,15 @@ class TestPanelMatmulByteIdentity:
         b = _order_sensitive((192, 128), seed=8)
         self._check(a, b, 4)
 
+    def test_column_view_weight(self):
+        # A non-contiguous B, as an MD-DP FC part is: a column slice
+        # of the source weight (row stride = the full width).
+        a = _order_sensitive((512, 192), seed=11)
+        w = _order_sensitive((192, 256), seed=12)
+        b = w[:, 100:228]
+        assert not b.flags.c_contiguous
+        self._check(a, b, 4)
+
     def test_aligned_panels(self):
         a = _order_sensitive((28 * 28, 288), seed=9)
         b = _order_sensitive((288, 64), seed=10)

@@ -83,3 +83,25 @@ def test_fc_graph_cleanup_purity(fc_graph):
             continue
         run_pass(info.name, fc_graph)
     _assert_untouched(fc_graph, snap, "cleanup/fusion/memopt chain")
+
+
+def test_fc_split_parts_alias_read_only_source(fc_graph):
+    """MD-DP's FC parts are column views of the source weight and bias:
+    the rest of the pipeline must leave the shared bytes alone."""
+    snap = _snapshot(fc_graph)
+    g = run_pass("mddp_split", fc_graph, node="fc0", ratio_gpu=0.5)
+    for info in registered_passes():
+        if not info.requires:
+            g = run_pass(info.name, g)
+    _assert_untouched(fc_graph, snap, "mddp_split + default pipeline")
+    sources = {t: fc_graph.initializers[t]
+               for t in fc_graph.node("fc0").inputs[1:]}
+    parts = [n for n in g.nodes if n.attrs.get("mddp_part")]
+    assert len(parts) == 2
+    for node in parts:
+        for part_name, (src_name, src) in zip(node.inputs[1:],
+                                               sources.items()):
+            part = g.initializers[part_name]
+            assert part_name.startswith(src_name + "__")
+            assert np.shares_memory(part, src), part_name
+            assert not part.flags.writeable, part_name

@@ -1,5 +1,7 @@
 """Tests for the MD-DP multi-device parallelization pass."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,18 @@ class TestGemmSplit:
         assert g2.initializers[pim_w].shape == (64, 24)
         # No runtime Slice needed for the constant operand.
         assert all(n.op_type != "Slice" for n in g2.nodes)
+        # The parts are read-only column views of the source weight and
+        # bias, never copies.
+        src_w = fc_graph.initializers[fc_graph.node("fc0").inputs[1]]
+        src_b = fc_graph.initializers[fc_graph.node("fc0").inputs[2]]
+        for part, c0 in (("fc0__gpu", 0), ("fc0__pim", 24)):
+            w_name, b_name = g2.node(part).inputs[1:3]
+            for name, src in ((w_name, src_w), (b_name, src_b)):
+                view = g2.initializers[name]
+                assert np.shares_memory(view, src)
+                assert not view.flags.writeable
+            np.testing.assert_array_equal(g2.initializers[w_name],
+                                          src_w[:, c0:c0 + 24])
 
     def test_non_constant_weight_rejected(self, rng):
         b = GraphBuilder()
@@ -230,3 +244,88 @@ class TestGemmSplit:
         out = execute(apply_mddp(g, "c", 0.5), feed)
         for k in ref:
             np.testing.assert_allclose(ref[k], out[k], rtol=1e-3, atol=1e-3)
+
+
+class TestGemmSplitMemory:
+    def test_profiling_copies_no_weight_bytes(self):
+        """Pricing the paper's 11 split ratios of a 64 MiB FC reads
+        shapes only: the trial graphs' part weights are views, so the
+        traced peak stays a tiny fraction of the weight."""
+        from repro.gpu.device import GpuDevice
+        from repro.pim.device import PimDevice
+        from repro.pimflow import MECHANISMS
+        from repro.runtime.engine import ExecutionEngine
+        from repro.search.profiler import profile_split
+
+        b = GraphBuilder("big_fc", seed=3)
+        x = b.input("x", (1, 4096))
+        b.output(b.gemm(x, 4096, name="fc"))
+        g = b.build()
+        weight_bytes = g.initializers[g.node("fc").inputs[1]].nbytes
+        assert weight_bytes >= 64 << 20
+        ratios = MECHANISMS["pimflow"].split_ratios
+        assert len(ratios) == 11
+        engine = ExecutionEngine(GpuDevice(), PimDevice())
+        tracemalloc.start()
+        try:
+            times = profile_split(g, "fc", engine, ratios)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(times) == sorted(ratios)
+        assert peak < 0.02 * weight_bytes, (
+            f"profiling allocated {peak} bytes for a {weight_bytes}-byte "
+            f"weight")
+
+
+#: Registry models whose classifier Gemm gets a committed 0.5 split.
+CLASSIFIERS = {"mobilenet-v2": "classifier", "resnet-50": "fc"}
+
+
+@pytest.fixture(scope="module", params=sorted(CLASSIFIERS))
+def split_classifier(request):
+    from repro.models import build_model
+
+    model = request.param
+    return model, apply_mddp(build_model(model), CLASSIFIERS[model], 0.5)
+
+
+class TestStridedWeightSplit:
+    """A committed FC split binds strided column-view weights; the
+    compiled executor must match the interpreted oracle bit for bit."""
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_compiled_matches_oracle(self, split_classifier, batch):
+        from repro.runtime.compiled import CompiledExecutable
+        from repro.runtime.gemmpar import ShardPolicy
+        from repro.runtime.verify import random_feeds
+
+        model, g = split_classifier
+        part = g.initializers[g.node(f"{CLASSIFIERS[model]}__pim").inputs[1]]
+        assert not part.flags.c_contiguous
+        feeds = random_feeds(g, seed=0, batch=batch)
+        ref = execute(g, feeds)
+        # The library defaults (serial unless REPRO_HOST_WORKERS or
+        # REPRO_GEMM_SHARDS say otherwise), then forced GEMM row panels.
+        configs = [{}, dict(workers=1, policy=ShardPolicy(gemm_shards=4))]
+        for kw in configs:
+            out = CompiledExecutable(g, **kw).run(feeds)
+            for name in ref:
+                assert ref[name].tobytes() == out[name].tobytes(), \
+                    f"{model}/{name} batch {batch} differs under {kw}"
+
+    def test_full_weight_round_trip(self, tmp_path):
+        from repro.graph.serialize import load_graph, save_graph
+        from repro.models import build_model
+        from repro.search.profiler import extract_subgraph
+
+        g = apply_mddp(build_model("mobilenet-v2"), "classifier", 0.5)
+        # The split classifier alone: its parts are the strided views.
+        region = extract_subgraph(
+            g, ["classifier__gpu", "classifier__pim", "classifier__concat"])
+        path = tmp_path / "split.json"
+        save_graph(region, path, include_weights=True)
+        loaded = load_graph(path)
+        assert set(loaded.initializers) == set(region.initializers)
+        for name, value in region.initializers.items():
+            np.testing.assert_array_equal(loaded.initializers[name], value)
